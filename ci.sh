@@ -3,13 +3,14 @@
 #
 #   ./ci.sh
 #
-# Eleven stages, all must pass:
+# Twelve stages, all must pass:
 #   1. formatting (fails fast, before anything compiles)
 #   2. foxlint: the workspace invariant lints (determinism, hash_iter,
-#      rx_panic, tcb_write, cc_write, win_cast, ctrl_data, and the
-#      shard_global/shard_rc/shard_tcb shard-confinement family — see
-#      DESIGN.md §5.8, §5.13), ratcheted against foxlint.baseline;
-#      fails on new violations AND on stale entries
+#      rx_panic, win_cast, and the shard_global/shard_rc/shard_tcb
+#      shard-confinement family — see DESIGN.md §5.8, §5.13), ratcheted
+#      against foxlint.baseline; fails on new violations AND on stale
+#      entries. (foxtcp's field ownership is Rust visibility, checked by
+#      stage 3's compile and the compile_fail doctests of stage 4.)
 #   3. release build of every crate and target
 #   4. the whole workspace test suite
 #   5. the RFC-793 conformance suite, explicitly (both TCP stacks
@@ -35,6 +36,9 @@
 #      then the conformance coverage ratchet proves every non-exempt
 #      spec edge is witnessed at runtime by both stacks (printing the
 #      edges-covered/total counts per stack)
+#  12. perfbench smoke: the standalone benchmark workspace (perfbench/)
+#      builds against the current foxtcp/foxbasis APIs and a one-second
+#      rpc run reports ok_share 1 (every op delivered and verified)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -82,5 +86,14 @@ cargo run -q -p foxlint -- --fsm-check
 cargo test -q -p foxtcp --test conformance \
   runtime_transitions_cover_the_extracted_fsm_spec -- --nocapture \
   | grep -E "fsm coverage|test result"
+
+echo "== perfbench smoke (builds, rpc run delivers every op) =="
+cargo build -q --release --offline --manifest-path perfbench/Cargo.toml
+PERFBENCH_LAST=$(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+  --workload rpc --seed 1 --seconds 1 --trace 0 2>/dev/null | tail -n 1)
+echo "$PERFBENCH_LAST" | grep -q '"ok_share": {"value": 1.0,' || {
+  echo "perfbench rpc smoke: ok_share is not 1: $PERFBENCH_LAST"
+  exit 1
+}
 
 echo "CI OK"

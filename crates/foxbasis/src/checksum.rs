@@ -11,12 +11,14 @@
 //! byte-oriented routine (375 µs/KB) despite SML's bounds checks.
 //!
 //! This module provides:
-//! * [`word_check`] — the Fig. 10 algorithm (the fast path);
+//! * [`word_check`] — the Fig. 10 algorithm (the fast path, and the one
+//!   summing loop the wire uses);
 //! * [`byte_check`] — the "slower algorithm" the x-kernel used, summing
 //!   16 bits at a time with immediate carry folding (the baseline for the
 //!   §5 checksum comparison);
 //! * [`ChecksumAccum`] — a streaming accumulator so pseudo-header, header
-//!   and payload can be summed without concatenation;
+//!   and payload can be summed without concatenation (each chunk summed
+//!   by [`word_check`]);
 //! * [`incremental_update`] — RFC 1624 incremental checksum adjustment.
 //!
 //! All functions compute the same mathematical value (verified by
@@ -101,23 +103,17 @@ pub fn byte_check(data: &[u8]) -> u16 {
     sum
 }
 
-/// The ones-complement sum of `data` (not inverted). Alias for the fast
-/// algorithm; protocol code should use this.
-pub fn ones_complement_sum(data: &[u8]) -> u16 {
-    word_check(data)
-}
-
 /// The Internet checksum of `data`: the ones-complement of the
 /// ones-complement sum. This is the value stored in a header checksum
 /// field.
 ///
 /// ```
-/// use foxbasis::checksum::{checksum, ones_complement_sum};
+/// use foxbasis::checksum::{checksum, word_check};
 /// let mut packet = vec![0x45, 0x00, 0x00, 0x1c];
 /// let c = checksum(&packet);
 /// packet.extend_from_slice(&c.to_be_bytes());
 /// // A packet with its checksum in place sums to negative zero:
-/// assert_eq!(ones_complement_sum(&packet), 0xffff);
+/// assert_eq!(word_check(&packet), 0xffff);
 /// ```
 pub fn checksum(data: &[u8]) -> u16 {
     !word_check(data)
@@ -142,8 +138,8 @@ pub fn incremental_update(old_check: u16, old_word: u16, new_word: u16) -> u16 {
 /// TCP and UDP checksums cover a pseudo-header, the transport header, and
 /// the payload; `ChecksumAccum` lets the Action module sum them in place
 /// (the paper copies data only once — summing must not force another
-/// copy). Handles odd-length chunks at any position by tracking byte
-/// parity.
+/// copy). Each chunk's aligned body is summed by [`word_check`]; odd-length
+/// chunks at any position are handled by tracking byte parity.
 #[derive(Debug, Clone, Default)]
 pub struct ChecksumAccum {
     sum: u32,
@@ -160,27 +156,18 @@ impl ChecksumAccum {
 
     /// Absorbs `data`.
     pub fn add_bytes(&mut self, data: &[u8]) -> &mut Self {
-        let mut i = 0;
-        if self.half && !data.is_empty() {
+        let mut body = data;
+        if self.half {
             // Complete the straddling word: the pending byte was the high
-            // half.
-            self.sum += u32::from(data[0]);
-            self.sum = u32::from(fold(self.sum));
-            i = 1;
-            self.half = false;
+            // half, so the first byte here is the low half.
+            let Some((&low, rest)) = data.split_first() else { return self };
+            self.sum += u32::from(low);
+            body = rest;
         }
-        let even_end = i + ((data.len() - i) & !1);
-        while i < even_end {
-            self.sum += u32::from(u16::from_be_bytes([data[i], data[i + 1]]));
-            i += 2;
-            if self.sum >= 0xffff_0000 {
-                self.sum = u32::from(fold(self.sum));
-            }
-        }
-        if i < data.len() {
-            self.sum += u32::from(data[i]) << 8;
-            self.half = true;
-        }
+        // `word_check` pads an odd trailing byte with zero — exactly the
+        // high half of the next straddling word.
+        self.sum = u32::from(fold(self.sum)) + u32::from(word_check(body));
+        self.half = body.len() % 2 == 1;
         self
     }
 

@@ -1,5 +1,7 @@
-//! Typed, bounded observability: the event layer the `do_traces` string
-//! log could never be.
+//! Typed, bounded observability: the stack's one event mechanism, and
+//! the Rust rendering of the print/trace debugging parameters every
+//! functor in the paper takes (Fig. 4) — a sink handed to each layer
+//! instead of two boolean switches over a string log.
 //!
 //! The paper's central claim is that quasi-synchronous control makes the
 //! stack's behaviour totally ordered and deterministic. [`EventSink`]
@@ -20,7 +22,7 @@
 //!
 //! The sink is zero-cost when off: a disabled sink holds no ring, and
 //! [`EventSink::emit`] takes the event as a closure that is never run,
-//! the same staging trick [`crate::trace::Trace::trace`] uses.
+//! so building the event costs nothing unless someone is recording.
 
 use crate::time::VirtualTime;
 use std::cell::RefCell;

@@ -180,19 +180,6 @@ impl WordArray {
         self.check(offset, len)?;
         Ok(&self.bytes[offset..offset + len])
     }
-
-    /// Hexadecimal dump, 16 bytes per line, for `do_prints` diagnostics.
-    pub fn hexdump(&self) -> String {
-        let mut out = String::new();
-        for (i, chunk) in self.bytes.chunks(16).enumerate() {
-            out.push_str(&format!("{:04x}:", i * 16));
-            for b in chunk {
-                out.push_str(&format!(" {b:02x}"));
-            }
-            out.push('\n');
-        }
-        out
-    }
 }
 
 impl fmt::Debug for WordArray {
@@ -256,14 +243,5 @@ mod tests {
         assert_eq!(a.read_slice(2, 4).unwrap(), b"abcd");
         assert!(a.write_slice(4, b"xyz").is_err());
         assert!(a.read_slice(5, 2).is_err());
-    }
-
-    #[test]
-    fn hexdump_format() {
-        let a = WordArray::from_slice(&[0u8; 17]);
-        let dump = a.hexdump();
-        assert!(dump.starts_with("0000:"));
-        assert!(dump.contains("0010:"));
-        assert_eq!(dump.lines().count(), 2);
     }
 }

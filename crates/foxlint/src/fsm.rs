@@ -5,7 +5,8 @@
 //! written as functions-for-merge-points. This pass makes that claim
 //! checkable: it walks the two control files
 //! (`crates/foxtcp/src/control/segment.rs` and `…/control/state.rs` —
-//! the only files the `ctrl_data` lint permits to assign `core.state`)
+//! `state` is private to `control`, and these are its only non-test
+//! files that assign `core.state`)
 //! and recovers every transition the code can perform, as
 //! `(from-state, trigger, to-state)` triples in RFC vocabulary.
 //!
@@ -999,8 +1000,8 @@ pub fn to_dot(graph: &FsmGraph) -> String {
 // Workspace entry point
 // ---------------------------------------------------------------------
 
-/// The control files the FSM lives in — exactly the set the
-/// `ctrl_data` lint confines `core.state` writes to.
+/// The control files the FSM lives in: the files of the one module
+/// whose visibility admits `core.state` writes that perform them.
 pub const CONTROL_FILES: &[&str] =
     &["crates/foxtcp/src/control/segment.rs", "crates/foxtcp/src/control/state.rs"];
 

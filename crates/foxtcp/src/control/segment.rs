@@ -20,10 +20,10 @@
 
 use crate::action::{AttackEvent, TcpAction, TimerKind};
 use crate::control::EstablishedHandle;
+use crate::control::TcpState;
+use crate::data::resend;
+use crate::data::send;
 use crate::data::transfer::{self, DataEvent};
-use crate::resend;
-use crate::send;
-use crate::tcb::TcpState;
 use crate::{ConnCore, TcpConfig};
 use foxbasis::time::VirtualTime;
 use foxwire::tcp::TcpSegment;
@@ -126,7 +126,7 @@ fn syn_sent<P: Clone + PartialEq + Debug>(
     let h = &seg.header;
     // First: check the ACK bit.
     let ack_acceptable = if h.flags.ack {
-        if h.ack.le(core.tcb.iss) || h.ack.gt(core.tcb.snd_nxt) {
+        if h.ack.le(core.tcb.iss()) || h.ack.gt(core.tcb.snd_nxt()) {
             // "send a reset (unless the RST bit is set)... and discard."
             if h.flags.rst {
                 return Disposition::default();
@@ -194,7 +194,7 @@ fn synchronized<P: Clone + PartialEq + Debug>(
         // guessed the window but not the exact sequence number): answer
         // with a challenge ACK so a genuine peer can re-send the exact
         // one, and count the rejection.
-        if seg.header.seq == core.tcb.rcv_nxt {
+        if seg.header.seq == core.tcb.rcv_nxt() {
             check_rst(core);
         } else {
             core.tcb.push_action(TcpAction::Attack(AttackEvent::RstBadSeq));
@@ -262,7 +262,7 @@ fn check_ack<P: Clone + PartialEq + Debug>(
     if core.state.is_syn_received() {
         // "If SND.UNA =< SEG.ACK =< SND.NXT then enter ESTABLISHED state
         // ... otherwise send a reset."
-        if ack.in_open_closed(core.tcb.snd_una - 1, core.tcb.snd_nxt) {
+        if ack.in_open_closed(core.tcb.snd_una() - 1, core.tcb.snd_nxt()) {
             resend::process_ack(cfg, core, ack, now);
             // The handshake-completing ACK is not a SYN: scaled.
             transfer::establish(cfg, core, h, true, EstablishedHandle::mint());
@@ -278,15 +278,15 @@ fn check_ack<P: Clone + PartialEq + Debug>(
     }
 
     // ESTABLISHED-family ACK processing.
-    if ack.in_open_closed(core.tcb.snd_una, core.tcb.snd_nxt) {
+    if ack.in_open_closed(core.tcb.snd_una(), core.tcb.snd_nxt()) {
         let outcome = resend::process_ack(cfg, core, ack, now);
         transfer::update_send_window(core, seg);
         after_ack_transitions(cfg, core, outcome.fin_acked);
         send::maybe_send(cfg, core, now);
-    } else if ack == core.tcb.snd_una {
+    } else if ack == core.tcb.snd_una() {
         // Duplicate. Window updates may still ride on it.
         let pure_dup = seg.payload.is_empty()
-            && core.tcb.scale_peer_window(h.window, h.flags.syn) == core.tcb.snd_wnd
+            && core.tcb.scale_peer_window(h.window, h.flags.syn) == core.tcb.snd_wnd()
             && !seg.header.flags.fin;
         transfer::update_send_window(core, seg);
         if pure_dup {
@@ -294,7 +294,7 @@ fn check_ack<P: Clone + PartialEq + Debug>(
         } else {
             send::maybe_send(cfg, core, now);
         }
-    } else if ack.gt(core.tcb.snd_nxt) {
+    } else if ack.gt(core.tcb.snd_nxt()) {
         // "If the ACK acks something not yet sent ... send an ACK, drop
         // the segment." This is also the optimistic-ACK attack shape:
         // count it so the harness can assert cwnd never grew on it.
@@ -312,7 +312,7 @@ fn after_ack_transitions<P: Clone + PartialEq + Debug>(
     core: &mut ConnCore<P>,
     fin_acked_now: bool,
 ) {
-    let our_fin_acked = fin_acked_now || core.tcb.fin_seq.is_some_and(|f| (f + 1).le(core.tcb.snd_una));
+    let our_fin_acked = fin_acked_now || core.tcb.fin_seq.is_some_and(|f| (f + 1).le(core.tcb.snd_una()));
     match core.state {
         TcpState::FinWait1 { .. } if our_fin_acked => {
             core.state = TcpState::FinWait2;
@@ -346,11 +346,11 @@ fn check_fin<P: Clone + PartialEq + Debug>(
         return;
     }
     let fin_seq = seg.header.seq + seg.payload.len() as u32;
-    if core.tcb.rcv_nxt != fin_seq {
+    if core.tcb.rcv_nxt() != fin_seq {
         // FIN not yet reachable (data missing in between): if its data
         // was queued out of order the FIN mark went with it; the ACK we
         // already sent tells the peer to retransmit.
-        if fin_seq.gt(core.tcb.rcv_nxt) {
+        if fin_seq.gt(core.tcb.rcv_nxt()) {
             if seg.payload.is_empty() {
                 transfer::note_out_of_order_fin(core, seg.header.seq);
             }
@@ -372,7 +372,7 @@ fn check_fin<P: Clone + PartialEq + Debug>(
             core.state = TcpState::CloseWait;
         }
         TcpState::FinWait1 { fin_acked } => {
-            if fin_acked || core.tcb.fin_seq.is_some_and(|f| (f + 1).le(core.tcb.snd_una)) {
+            if fin_acked || core.tcb.fin_seq.is_some_and(|f| (f + 1).le(core.tcb.snd_una())) {
                 core.state = TcpState::TimeWait;
                 core.tcb.push_action(TcpAction::SetTimer(TimerKind::TimeWait, cfg.time_wait_ms));
             } else {
@@ -439,11 +439,11 @@ mod tests {
         core.remote = Some((9, 4000));
         core.state = TcpState::Estab;
         core.tcb.mss = 1000;
-        core.tcb.snd_una = Seq(101);
-        core.tcb.snd_nxt = Seq(101);
-        core.tcb.irs = Seq(5000);
-        core.tcb.rcv_nxt = Seq(5001);
-        core.tcb.snd_wnd = 4096;
+        core.tcb.set_snd_una(Seq(101));
+        core.tcb.set_snd_nxt(Seq(101));
+        core.tcb.set_irs(Seq(5000));
+        core.tcb.set_rcv_nxt(Seq(5001));
+        core.tcb.set_snd_wnd(4096);
         core
     }
 
@@ -477,9 +477,9 @@ mod tests {
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
         // TCB per the standard: RCV.NXT = SEG.SEQ+1, IRS = SEG.SEQ,
         // SND.NXT = ISS+1.
-        assert_eq!(core.tcb.irs, Seq(7000));
-        assert_eq!(core.tcb.rcv_nxt, Seq(7001));
-        assert_eq!(core.tcb.snd_nxt, Seq(301));
+        assert_eq!(core.tcb.irs(), Seq(7000));
+        assert_eq!(core.tcb.rcv_nxt(), Seq(7001));
+        assert_eq!(core.tcb.snd_nxt(), Seq(301));
         assert_eq!(core.tcb.mss, 800, "min(ours, peer) adopted");
         assert_eq!(core.state, TcpState::SynPassive { retries_left: 5 });
         let actions = drain_actions(&core);
@@ -524,8 +524,8 @@ mod tests {
         core.remote = Some((9, 80));
         core.state = TcpState::SynSent { retries_left: 5 };
         // SYN already sent.
-        core.tcb.snd_nxt = Seq(101);
-        core.tcb.resend_queue.push_back(crate::tcb::SentSegment {
+        core.tcb.set_snd_nxt(Seq(101));
+        core.tcb.resend_queue.push_back(crate::data::tcb::SentSegment {
             seq: Seq(100),
             payload: PacketBuf::new(),
             syn: true,
@@ -541,9 +541,9 @@ mod tests {
         s.header.ack = Seq(101);
         segment_arrives(&cfg(), &mut core, s, VirtualTime::from_millis(42));
         assert_eq!(core.state, TcpState::Estab);
-        assert_eq!(core.tcb.irs, Seq(9000));
-        assert_eq!(core.tcb.rcv_nxt, Seq(9001));
-        assert_eq!(core.tcb.snd_una, Seq(101));
+        assert_eq!(core.tcb.irs(), Seq(9000));
+        assert_eq!(core.tcb.rcv_nxt(), Seq(9001));
+        assert_eq!(core.tcb.snd_una(), Seq(101));
         assert!(core.tcb.resend_queue.is_empty(), "SYN acked and removed");
         let tags = drain_tags(&core);
         assert!(tags.contains(&"Complete_Open"));
@@ -586,7 +586,7 @@ mod tests {
         let s = seg(9000, TcpFlags::SYN, b""); // SYN, no ACK
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
         assert_eq!(core.state, TcpState::SynActive);
-        assert_eq!(core.tcb.rcv_nxt, Seq(9001));
+        assert_eq!(core.tcb.rcv_nxt(), Seq(9001));
         let actions = drain_actions(&core);
         let synack = actions
             .iter()
@@ -606,7 +606,7 @@ mod tests {
         let mut core = estab();
         let s = seg(4000, TcpFlags::ACK, b"stale");
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
-        assert_eq!(core.tcb.rcv_nxt, Seq(5001), "nothing consumed");
+        assert_eq!(core.tcb.rcv_nxt(), Seq(5001), "nothing consumed");
         let actions = drain_actions(&core);
         let ack = actions
             .iter()
@@ -686,8 +686,8 @@ mod tests {
     fn ack_advances_and_releases() {
         let mut core = estab();
         core.tcb.send_buf.write(&[1; 300]);
-        core.tcb.snd_nxt = Seq(401);
-        core.tcb.resend_queue.push_back(crate::tcb::SentSegment {
+        core.tcb.set_snd_nxt(Seq(401));
+        core.tcb.resend_queue.push_back(crate::data::tcb::SentSegment {
             seq: Seq(101),
             payload: vec![1u8; 300].into(),
             syn: false,
@@ -696,7 +696,7 @@ mod tests {
         let mut s = seg(5001, TcpFlags::ACK, b"");
         s.header.ack = Seq(401);
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
-        assert_eq!(core.tcb.snd_una, Seq(401));
+        assert_eq!(core.tcb.snd_una(), Seq(401));
         assert_eq!(core.tcb.send_buf.len(), 0);
     }
 
@@ -706,7 +706,7 @@ mod tests {
         let mut s = seg(5001, TcpFlags::ACK, b"should not deliver");
         s.header.ack = Seq(9999);
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
-        assert_eq!(core.tcb.rcv_nxt, Seq(5001), "text not processed");
+        assert_eq!(core.tcb.rcv_nxt(), Seq(5001), "text not processed");
         let tags = drain_tags(&core);
         assert!(tags.contains(&"Send_Segment"));
         assert!(tags.contains(&"Attack"), "optimistic ACK counted");
@@ -716,13 +716,12 @@ mod tests {
     #[test]
     fn window_update_follows_wl_rules() {
         let mut core = estab();
-        core.tcb.snd_wl1 = Seq(4000);
-        core.tcb.snd_wl2 = Seq(90);
+        core.tcb.set_snd_wl(Seq(4000), Seq(90));
         let mut s = seg(5001, TcpFlags::ACK, b"");
         s.header.window = 123;
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
-        assert_eq!(core.tcb.snd_wnd, 123);
-        assert_eq!(core.tcb.snd_wl1, Seq(5001));
+        assert_eq!(core.tcb.snd_wnd(), 123);
+        assert_eq!(core.tcb.snd_wl1(), Seq(5001));
         // An *older* segment (lower seq) must not regress the window.
         let mut s2 = seg(4500, TcpFlags::ACK, b"");
         s2.header.window = 9;
@@ -730,7 +729,7 @@ mod tests {
         // unacceptable, so this drops before the window code — which is
         // itself the protection.)
         segment_arrives(&cfg(), &mut core, s2, VirtualTime::ZERO);
-        assert_eq!(core.tcb.snd_wnd, 123);
+        assert_eq!(core.tcb.snd_wnd(), 123);
     }
 
     // ---- text processing ----
@@ -740,7 +739,7 @@ mod tests {
         let mut core = estab();
         let s = seg(5001, TcpFlags::ACK, b"abcdef");
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
-        assert_eq!(core.tcb.rcv_nxt, Seq(5007));
+        assert_eq!(core.tcb.rcv_nxt(), Seq(5007));
         let actions = drain_actions(&core);
         let data = actions.iter().find_map(|a| match a {
             TcpAction::UserData(d) => Some(d.clone()),
@@ -784,7 +783,7 @@ mod tests {
         let mut core = estab();
         let s = seg(5101, TcpFlags::ACK, b"late block");
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
-        assert_eq!(core.tcb.rcv_nxt, Seq(5001), "gap remains");
+        assert_eq!(core.tcb.rcv_nxt(), Seq(5001), "gap remains");
         assert_eq!(core.tcb.out_of_order.len(), 1);
         let actions = drain_actions(&core);
         assert!(
@@ -799,7 +798,7 @@ mod tests {
         segment_arrives(&cfg(), &mut core, seg(5007, TcpFlags::ACK, b"world!"), VirtualTime::ZERO);
         drain_actions(&core);
         segment_arrives(&cfg(), &mut core, seg(5001, TcpFlags::ACK, b"hello "), VirtualTime::ZERO);
-        assert_eq!(core.tcb.rcv_nxt, Seq(5013));
+        assert_eq!(core.tcb.rcv_nxt(), Seq(5013));
         let actions = drain_actions(&core);
         let delivered: Vec<u8> = actions
             .iter()
@@ -819,7 +818,7 @@ mod tests {
         drain_actions(&core);
         // Peer retransmits [5001..5009): first 4 bytes are old.
         segment_arrives(&cfg(), &mut core, seg(5001, TcpFlags::ACK, b"abcdEFGH"), VirtualTime::ZERO);
-        assert_eq!(core.tcb.rcv_nxt, Seq(5009));
+        assert_eq!(core.tcb.rcv_nxt(), Seq(5009));
         let actions = drain_actions(&core);
         let delivered: Vec<u8> = actions
             .iter()
@@ -840,7 +839,7 @@ mod tests {
         let s = seg(5001, TcpFlags::FIN_ACK, b"");
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
         assert_eq!(core.state, TcpState::CloseWait);
-        assert_eq!(core.tcb.rcv_nxt, Seq(5002), "FIN consumes a sequence number");
+        assert_eq!(core.tcb.rcv_nxt(), Seq(5002), "FIN consumes a sequence number");
         let tags = drain_tags(&core);
         assert!(tags.contains(&"Peer_Close"));
         assert!(tags.contains(&"Send_Segment"), "FIN acked immediately");
@@ -851,7 +850,7 @@ mod tests {
         let mut core = estab();
         let s = seg(5001, TcpFlags::FIN_ACK, b"bye");
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
-        assert_eq!(core.tcb.rcv_nxt, Seq(5005)); // 3 data + FIN
+        assert_eq!(core.tcb.rcv_nxt(), Seq(5005)); // 3 data + FIN
         let tags = drain_tags(&core);
         let data_pos = tags.iter().position(|t| *t == "User_Data").unwrap();
         let close_pos = tags.iter().position(|t| *t == "Peer_Close").unwrap();
@@ -863,8 +862,8 @@ mod tests {
         let mut core = estab();
         core.state = TcpState::FinWait2;
         core.tcb.fin_seq = Some(Seq(101));
-        core.tcb.snd_una = Seq(102);
-        core.tcb.snd_nxt = Seq(102);
+        core.tcb.set_snd_una(Seq(102));
+        core.tcb.set_snd_nxt(Seq(102));
         let mut s = seg(5001, TcpFlags::FIN_ACK, b"");
         s.header.ack = Seq(102);
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
@@ -880,8 +879,8 @@ mod tests {
         core.state = TcpState::FinWait1 { fin_acked: false };
         core.tcb.fin_pending = true;
         core.tcb.fin_seq = Some(Seq(101));
-        core.tcb.snd_nxt = Seq(102);
-        core.tcb.resend_queue.push_back(crate::tcb::SentSegment {
+        core.tcb.set_snd_nxt(Seq(102));
+        core.tcb.resend_queue.push_back(crate::data::tcb::SentSegment {
             seq: Seq(101),
             payload: PacketBuf::new(),
             syn: false,
@@ -905,7 +904,7 @@ mod tests {
         let mut core = estab();
         core.state = TcpState::FinWait1 { fin_acked: false };
         core.tcb.fin_seq = Some(Seq(101));
-        core.tcb.snd_nxt = Seq(102);
+        core.tcb.set_snd_nxt(Seq(102));
         // Peer ACKs our FIN and FINs in the same segment.
         let mut s = seg(5001, TcpFlags::FIN_ACK, b"");
         s.header.ack = Seq(102);
@@ -917,7 +916,7 @@ mod tests {
     fn retransmitted_fin_in_time_wait_restarts_timer() {
         let mut core = estab();
         core.state = TcpState::TimeWait;
-        core.tcb.rcv_nxt = Seq(5002); // FIN at 5001 already consumed
+        core.tcb.set_rcv_nxt(Seq(5002)); // FIN at 5001 already consumed
         let s = seg(5001, TcpFlags::FIN_ACK, b"");
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
         let actions = drain_actions(&core);
@@ -935,7 +934,7 @@ mod tests {
         let s = seg(5011, TcpFlags::FIN_ACK, b"");
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
         assert_eq!(core.state, TcpState::Estab, "FIN not consumable yet");
-        assert_eq!(core.tcb.rcv_nxt, Seq(5001));
+        assert_eq!(core.tcb.rcv_nxt(), Seq(5001));
     }
 
     // ---- SYN-time option negotiation (RFC 7323 / RFC 2018) ----
@@ -1040,8 +1039,8 @@ mod tests {
         let mut core: ConnCore<u8> = ConnCore::new(&c, 5000, Seq(100), 1460);
         core.remote = Some((9, 80));
         core.state = TcpState::SynSent { retries_left: 5 };
-        core.tcb.snd_nxt = Seq(101);
-        core.tcb.resend_queue.push_back(crate::tcb::SentSegment {
+        core.tcb.set_snd_nxt(Seq(101));
+        core.tcb.resend_queue.push_back(crate::data::tcb::SentSegment {
             seq: Seq(100),
             payload: PacketBuf::new(),
             syn: true,
@@ -1056,7 +1055,7 @@ mod tests {
         assert!(core.tcb.wscale_on && core.tcb.sack_on && core.tcb.ts_on);
         assert_eq!(core.tcb.snd_wscale, 10);
         assert_eq!(core.tcb.ts_recent, 9000);
-        assert_eq!(core.tcb.snd_wnd, 2048, "the SYN+ACK window itself is never scaled");
+        assert_eq!(core.tcb.snd_wnd(), 2048, "the SYN+ACK window itself is never scaled");
         // The handshake ACK carries a timestamp echoing the peer.
         let ack = drain_actions(&core)
             .iter()
@@ -1079,7 +1078,7 @@ mod tests {
         let mut s = seg(5001, TcpFlags::ACK, b"");
         s.header.window = 4096;
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
-        assert_eq!(core.tcb.snd_wnd, 4096 << 4, "window widened by the peer's shift");
+        assert_eq!(core.tcb.snd_wnd(), 4096 << 4, "window widened by the peer's shift");
     }
 
     /// PAWS (RFC 7323 §5.3): an in-window segment whose timestamp is
@@ -1092,7 +1091,7 @@ mod tests {
         let mut s = seg(5001, TcpFlags::ACK, b"wrapped ghost");
         s.header.options.push(TcpOption::Timestamps(9_999, 0));
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
-        assert_eq!(core.tcb.rcv_nxt, Seq(5001), "text not consumed");
+        assert_eq!(core.tcb.rcv_nxt(), Seq(5001), "text not consumed");
         let actions = drain_actions(&core);
         assert!(
             actions.iter().any(|a| matches!(a, TcpAction::SendSegment(s) if s.header.ack == Seq(5001))),
@@ -1102,7 +1101,7 @@ mod tests {
         let mut s = seg(5001, TcpFlags::ACK, b"fresh");
         s.header.options.push(TcpOption::Timestamps(10_001, 0));
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
-        assert_eq!(core.tcb.rcv_nxt, Seq(5006));
+        assert_eq!(core.tcb.rcv_nxt(), Seq(5006));
         assert_eq!(core.tcb.ts_recent, 10_001, "TS.Recent advanced");
     }
 
@@ -1111,10 +1110,10 @@ mod tests {
     fn ack_with_sack_blocks_updates_scoreboard() {
         let mut core = estab();
         core.tcb.sack_on = true;
-        core.tcb.snd_nxt = Seq(4101);
+        core.tcb.set_snd_nxt(Seq(4101));
         core.tcb.send_buf.write(&[0; 4000]);
         for i in 0..4u32 {
-            core.tcb.resend_queue.push_back(crate::tcb::SentSegment {
+            core.tcb.resend_queue.push_back(crate::data::tcb::SentSegment {
                 seq: Seq(101 + i * 1000),
                 payload: vec![0u8; 1000].into(),
                 syn: false,
@@ -1129,13 +1128,36 @@ mod tests {
         assert!(core.tcb.sacked(Seq(1101), Seq(2101)));
     }
 
+    /// RFC 2018 §4: the duplicate ACK an out-of-order arrival provokes
+    /// reports that arrival's block first, even when a lower island
+    /// exists.
+    #[test]
+    fn dup_ack_sack_leads_with_the_triggering_block() {
+        let mut core = estab();
+        core.tcb.sack_on = true;
+        let sack_of_last_ack = |core: &ConnCore<u8>| {
+            drain_actions(core)
+                .into_iter()
+                .filter_map(|a| match a {
+                    TcpAction::SendSegment(s) => Some(s.header.sack_blocks().to_vec()),
+                    _ => None,
+                })
+                .last()
+                .expect("a duplicate ACK went out")
+        };
+        segment_arrives(&cfg(), &mut core, seg(5101, TcpFlags::ACK, &[1; 10]), VirtualTime::ZERO);
+        assert_eq!(sack_of_last_ack(&core), vec![(Seq(5101), Seq(5111))]);
+        segment_arrives(&cfg(), &mut core, seg(5201, TcpFlags::ACK, &[2; 10]), VirtualTime::ZERO);
+        assert_eq!(sack_of_last_ack(&core), vec![(Seq(5201), Seq(5211)), (Seq(5101), Seq(5111))]);
+    }
+
     #[test]
     fn text_ignored_after_fin_states() {
         let mut core = estab();
         core.state = TcpState::CloseWait;
         let s = seg(5001, TcpFlags::ACK, b"zombie data");
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
-        assert_eq!(core.tcb.rcv_nxt, Seq(5001), "text ignored after FIN");
+        assert_eq!(core.tcb.rcv_nxt(), Seq(5001), "text ignored after FIN");
         assert!(!drain_tags(&core).contains(&"User_Data"));
     }
 }

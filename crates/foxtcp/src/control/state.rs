@@ -3,9 +3,9 @@
 //! (paper §4).
 
 use crate::action::{TcpAction, TimerKind};
-use crate::resend;
-use crate::send;
-use crate::tcb::TcpState;
+use crate::control::TcpState;
+use crate::data::resend;
+use crate::data::send;
 use crate::{ConnCore, TcpConfig};
 use foxbasis::time::VirtualTime;
 use foxproto::ProtoError;
@@ -106,7 +106,7 @@ pub fn abort<P: Clone + PartialEq + Debug>(
         return Err(ProtoError::NotOpen);
     }
     if core.state.is_synchronized() && was != TcpState::TimeWait {
-        let header = send::make_header(core, TcpFlags::RST_ACK, core.tcb.snd_nxt, now);
+        let header = send::make_header(core, TcpFlags::RST_ACK, core.tcb.snd_nxt(), now);
         core.tcb.push_action(TcpAction::SendSegment(foxwire::tcp::TcpSegment {
             header,
             payload: foxbasis::buf::PacketBuf::new(),
@@ -233,7 +233,7 @@ mod tests {
         let t = tags(&core);
         assert!(t.contains(&"Send_Segment"));
         assert!(t.contains(&"Set_Timer"));
-        assert_eq!(core.tcb.snd_nxt, Seq(101));
+        assert_eq!(core.tcb.snd_nxt(), Seq(101));
         // Double open fails.
         assert_eq!(active_open(&cfg(), &mut core, VirtualTime::ZERO), Err(ProtoError::AlreadyOpen));
     }
@@ -256,7 +256,7 @@ mod tests {
     fn close_from_estab_sends_fin_enters_finwait1() {
         let mut core = fresh();
         core.state = TcpState::Estab;
-        core.tcb.snd_wnd = 4096;
+        core.tcb.set_snd_wnd(4096);
         close(&cfg(), &mut core, VirtualTime::ZERO).unwrap();
         assert_eq!(core.state, TcpState::FinWait1 { fin_acked: false });
         assert!(core.tcb.fin_pending);
@@ -269,7 +269,7 @@ mod tests {
     fn close_from_close_wait_enters_last_ack() {
         let mut core = fresh();
         core.state = TcpState::CloseWait;
-        core.tcb.snd_wnd = 4096;
+        core.tcb.set_snd_wnd(4096);
         close(&cfg(), &mut core, VirtualTime::ZERO).unwrap();
         assert_eq!(core.state, TcpState::LastAck);
     }

@@ -9,11 +9,10 @@
 //! arithmetic the stack always had) and [`Cubic`] (RFC 8312 in integer
 //! fixed-point, so the simulation stays deterministic).
 //!
-//! Enforcement is lexical: the `cc_write` foxlint rule forbids
-//! `cwnd`/`ssthresh` assignments outside this module, the same way
-//! `tcb_write` fences the TCB as a whole.
+//! Enforcement is by visibility: the windows are private fields of
+//! [`CcMachine`], so no code outside this module can assign them.
 
-use crate::tcb::Tcb;
+use crate::data::tcb::Tcb;
 use foxbasis::time::VirtualTime;
 
 /// Algorithm selector carried by [`crate::TcpConfig`].
@@ -28,10 +27,10 @@ pub enum CcAlg {
     Cubic,
 }
 
-/// The mutable window view an algorithm operates on. `cwnd == 0` means
+/// The windows an algorithm operates on. `cwnd == 0` means
 /// congestion control is disabled for the connection (the ablation
 /// switch); algorithms must leave a zero window untouched.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct CcWindow {
     /// Congestion window, bytes.
     pub cwnd: u32,
@@ -234,55 +233,82 @@ impl CongestionControl for Cubic {
     }
 }
 
-/// The per-connection algorithm instance. An enum rather than a
-/// `Box<dyn>` so the TCB stays `Clone`-free, allocation-free and the
-/// dispatch deterministic; both variants implement [`CongestionControl`]
-/// and the enum forwards.
+/// The per-connection congestion state: the windows and the algorithm
+/// that owns them. The windows are private to this module, so every
+/// write to `cwnd`/`ssthresh` flows through the [`CongestionControl`]
+/// seam; everyone else reads them through [`CcMachine::cwnd`] and
+/// [`CcMachine::ssthresh`]. The algorithm is an enum rather than a
+/// `Box<dyn>` so the TCB stays allocation-free and the dispatch
+/// deterministic.
 #[derive(Clone, Debug)]
-pub enum CcMachine {
-    /// NewReno state.
+pub struct CcMachine {
+    w: CcWindow,
+    alg: Alg,
+}
+
+#[derive(Clone, Debug)]
+enum Alg {
     Reno(Reno),
-    /// CUBIC state.
     Cubic(Cubic),
+}
+
+impl Alg {
+    fn as_cc(&mut self) -> &mut dyn CongestionControl {
+        match self {
+            Alg::Reno(r) => r,
+            Alg::Cubic(c) => c,
+        }
+    }
 }
 
 impl Default for CcMachine {
     fn default() -> Self {
-        CcMachine::Reno(Reno)
+        CcMachine::new(CcAlg::Reno)
     }
 }
 
 impl CcMachine {
-    /// An instance of the configured algorithm.
+    /// An instance of the configured algorithm, with congestion control
+    /// off (`cwnd == 0`) until [`init`] opens the window.
     pub fn new(alg: CcAlg) -> CcMachine {
-        match alg {
-            CcAlg::Reno => CcMachine::Reno(Reno),
-            CcAlg::Cubic => CcMachine::Cubic(Cubic::default()),
-        }
+        let alg = match alg {
+            CcAlg::Reno => Alg::Reno(Reno),
+            CcAlg::Cubic => Alg::Cubic(Cubic::default()),
+        };
+        CcMachine { w: CcWindow { cwnd: 0, ssthresh: u32::MAX }, alg }
     }
 
-    fn as_cc(&mut self) -> &mut dyn CongestionControl {
-        match self {
-            CcMachine::Reno(r) => r,
-            CcMachine::Cubic(c) => c,
-        }
+    /// Congestion window, bytes (0 = congestion control off).
+    #[inline]
+    pub fn cwnd(&self) -> u32 {
+        self.w.cwnd
+    }
+
+    /// Slow-start threshold, bytes.
+    #[inline]
+    pub fn ssthresh(&self) -> u32 {
+        self.w.ssthresh
+    }
+
+    /// Test fixture for unit tests outside this module: sets the
+    /// windows without running the algorithm.
+    #[cfg(test)]
+    pub(crate) fn set_windows(&mut self, cwnd: u32, ssthresh: u32) {
+        self.w = CcWindow { cwnd, ssthresh };
     }
 }
 
 // ---------------------------------------------------------------------
-// The module-level entry points the rest of the stack calls. These are
-// the *only* places `tcb.cwnd` / `tcb.ssthresh` are assigned (enforced
-// by the `cc_write` foxlint rule); each replicates the guard structure
-// the inline Reno code had, so behavior without options is unchanged.
+// The module-level entry points the rest of the stack calls; each
+// replicates the guard structure the inline Reno code had, so behavior
+// without options is unchanged.
 // ---------------------------------------------------------------------
 
 /// Runs `f` against the TCB's windows through the algorithm seam.
 fn with_windows<P>(tcb: &mut Tcb<P>, f: impl FnOnce(&mut dyn CongestionControl, &mut CcWindow, u32)) {
-    let mut w = CcWindow { cwnd: tcb.cwnd, ssthresh: tcb.ssthresh };
     let mss = tcb.mss;
-    f(tcb.cc.as_cc(), &mut w, mss);
-    tcb.cwnd = w.cwnd;
-    tcb.ssthresh = w.ssthresh;
+    let cc = &mut tcb.cc;
+    f(cc.alg.as_cc(), &mut cc.w, mss);
 }
 
 /// Connection established: initial window (one MSS) and cleared
@@ -293,7 +319,7 @@ pub fn init<P>(tcb: &mut Tcb<P>) {
 
 /// New data acknowledged outside recovery: grow the window.
 pub fn on_ack<P>(tcb: &mut Tcb<P>, bytes_acked: u32, now: VirtualTime) {
-    if tcb.cwnd == 0 || bytes_acked == 0 {
+    if tcb.cc.w.cwnd == 0 || bytes_acked == 0 {
         return;
     }
     with_windows(tcb, |cc, w, mss| cc.on_ack(w, mss, bytes_acked, now));
@@ -301,7 +327,7 @@ pub fn on_ack<P>(tcb: &mut Tcb<P>, bytes_acked: u32, now: VirtualTime) {
 
 /// A duplicate ACK while recovering: inflate.
 pub fn dup_ack_inflate<P>(tcb: &mut Tcb<P>) {
-    if tcb.cwnd == 0 {
+    if tcb.cc.w.cwnd == 0 {
         return;
     }
     with_windows(tcb, |cc, w, mss| cc.dup_ack_inflate(w, mss));
@@ -316,7 +342,7 @@ pub fn enter_recovery<P>(tcb: &mut Tcb<P>, now: VirtualTime) {
 
 /// Partial ACK during recovery: deflate by what was acknowledged.
 pub fn partial_ack<P>(tcb: &mut Tcb<P>, bytes_acked: u32) {
-    if tcb.cwnd == 0 {
+    if tcb.cc.w.cwnd == 0 {
         return;
     }
     with_windows(tcb, |cc, w, mss| cc.partial_ack(w, mss, bytes_acked));
@@ -324,7 +350,7 @@ pub fn partial_ack<P>(tcb: &mut Tcb<P>, bytes_acked: u32) {
 
 /// Recovery point acknowledged: deflate to ssthresh.
 pub fn exit_recovery<P>(tcb: &mut Tcb<P>, now: VirtualTime) {
-    if tcb.cwnd == 0 {
+    if tcb.cc.w.cwnd == 0 {
         return;
     }
     with_windows(tcb, |cc, w, mss| cc.exit_recovery(w, mss, now));
@@ -450,11 +476,11 @@ mod tests {
         // cwnd == 0 (ablated): growth and inflation are no-ops.
         on_ack(&mut tcb, 1000, VirtualTime::ZERO);
         dup_ack_inflate(&mut tcb);
-        assert_eq!(tcb.cwnd, 0);
+        assert_eq!(tcb.cc.cwnd(), 0);
         init(&mut tcb);
-        assert_eq!((tcb.cwnd, tcb.ssthresh), (1000, u32::MAX));
+        assert_eq!((tcb.cc.cwnd(), tcb.cc.ssthresh()), (1000, u32::MAX));
         tcb.snd_nxt = tcb.snd_una + 4000;
         enter_recovery(&mut tcb, VirtualTime::ZERO);
-        assert_eq!((tcb.cwnd, tcb.ssthresh), (5000, 2000));
+        assert_eq!((tcb.cc.cwnd(), tcb.cc.ssthresh()), (5000, 2000));
     }
 }

@@ -14,9 +14,9 @@
 //! module's full SEGMENT-ARRIVES DAG.
 
 use crate::action::{TcpAction, TimerKind};
-use crate::resend;
-use crate::send;
-use crate::tcb::TcpState;
+use crate::control::TcpState;
+use crate::data::resend;
+use crate::data::send;
 use crate::{ConnCore, TcpConfig};
 use foxbasis::time::VirtualTime;
 use foxwire::tcp::TcpSegment;
@@ -30,7 +30,7 @@ pub fn try_fast<P: Clone + PartialEq + Debug>(
     seg: &TcpSegment,
     now: VirtualTime,
 ) -> bool {
-    if core.state != TcpState::Estab {
+    if *core.state() != TcpState::Estab {
         return false;
     }
     let h = &seg.header;
@@ -127,7 +127,7 @@ mod tests {
     fn estab() -> ConnCore<u32> {
         let mut core: ConnCore<u32> = ConnCore::new(&cfg(), 1000, Seq(100), 1460);
         core.remote = Some((7, 2000));
-        core.state = TcpState::Estab;
+        core.set_state(TcpState::Estab);
         core.tcb.mss = 1000;
         core.tcb.snd_wnd = 4096;
         core.tcb.rcv_nxt = Seq(5000);
@@ -151,7 +151,7 @@ mod tests {
         // One outstanding segment.
         core.tcb.send_buf.write(&[1; 500]);
         core.tcb.snd_nxt = Seq(600);
-        core.tcb.resend_queue.push_back(crate::tcb::SentSegment {
+        core.tcb.resend_queue.push_back(crate::data::tcb::SentSegment {
             seq: Seq(100),
             payload: vec![1u8; 500].into(),
             syn: false,
@@ -175,7 +175,7 @@ mod tests {
     #[test]
     fn rejects_non_estab() {
         let mut core = estab();
-        core.state = TcpState::FinWait1 { fin_acked: false };
+        core.set_state(TcpState::FinWait1 { fin_acked: false });
         assert!(!try_fast(&cfg(), &mut core, &seg(5000, 100, 4096, b"x"), VirtualTime::ZERO));
     }
 
@@ -227,7 +227,7 @@ mod tests {
         let mut core = estab();
         core.tcb.send_buf.write(&[1; 500]);
         core.tcb.snd_nxt = Seq(600);
-        core.tcb.resend_queue.push_back(crate::tcb::SentSegment {
+        core.tcb.resend_queue.push_back(crate::data::tcb::SentSegment {
             seq: Seq(100),
             payload: vec![1u8; 500].into(),
             syn: false,
@@ -262,7 +262,7 @@ mod tests {
         // fast path refuses it (window change) and the full DAG must
         // accept the update.
         let upd = seg(5100, 100, 8192, b"");
-        let _ = crate::receive::segment_arrives(&cfg(), &mut core, upd, VirtualTime::ZERO);
+        let _ = crate::control::segment::segment_arrives(&cfg(), &mut core, upd, VirtualTime::ZERO);
         assert_eq!(
             core.tcb.snd_wnd, 8192,
             "a legitimate window update must not be rejected by stale WL state"
@@ -361,7 +361,7 @@ mod tests {
         core.tcb.ts_recent = 500;
         let mut s = seg(5000, 100, 4096, &[1u8; 10]);
         s.header.options.push(TcpOption::Timestamps(499, 0));
-        let _ = crate::receive::segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
+        let _ = crate::control::segment::segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
         let actions = core.tcb.to_do.borrow_mut().drain_all();
         let slow_acks: Vec<_> = actions
             .iter()

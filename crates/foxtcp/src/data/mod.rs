@@ -2,9 +2,10 @@
 //!
 //! Sequence/ack bookkeeping, the send and receive windows, congestion
 //! control, retransmission, and the §4 fast path. Modules here own the
-//! TCB's sequence-space and window fields (the `tcb_write`/`cc_write`
-//! foxlint whitelists point exactly here) and are forbidden from
-//! writing [`crate::TcpState`] — lifecycle decisions stay in
+//! TCB's sequence-space and window fields (declared
+//! `pub(in crate::data)` in [`tcb`]) and cannot write
+//! [`crate::TcpState`], whose field is private to control — lifecycle
+//! decisions stay in
 //! [`crate::control`], which hands the data path an
 //! `EstablishedHandle` proof token at transition time and learns of
 //! stream-closing events through `transfer::DataEvent`.
@@ -13,4 +14,5 @@ pub mod congestion;
 pub mod fastpath;
 pub mod resend;
 pub mod send;
+pub mod tcb;
 pub mod transfer;

@@ -7,8 +7,8 @@
 //! queue".
 
 use crate::action::{LossEvent, TcpAction, TimerKind};
-use crate::congestion;
-use crate::tcb::{RttEstimator, SentSegment, MAX_RTO, MIN_RTO};
+use crate::data::congestion;
+use crate::data::tcb::{RttEstimator, SentSegment, MAX_RTO, MIN_RTO};
 use crate::{ConnCore, TcpConfig};
 use foxbasis::seq::Seq;
 use foxbasis::time::{VirtualDuration, VirtualTime};
@@ -210,7 +210,7 @@ pub fn duplicate_ack<P: Clone + PartialEq + Debug>(
         if core.tcb.sack_on {
             sack_retransmit_next(core, now);
         }
-        crate::send::maybe_send(cfg, core, now);
+        crate::data::send::maybe_send(cfg, core, now);
     } else if core.tcb.dup_acks >= 3 {
         // Enter fast recovery: retransmit the first unacknowledged
         // segment without waiting for the timer, halve the window, and
@@ -288,17 +288,17 @@ fn retransmit_segment<P: Clone + PartialEq + Debug>(
     header.flags = TcpFlags {
         syn: seg.syn,
         fin: seg.fin,
-        ack: core.state.is_synchronized() || !seg.syn,
+        ack: core.state().is_synchronized() || !seg.syn,
         psh: !seg.is_empty(),
         ..TcpFlags::default()
     };
     if seg.syn {
-        header.flags.ack = core.state.is_syn_received();
-        crate::send::push_syn_options(core, &mut header, now);
+        header.flags.ack = core.state().is_syn_received();
+        crate::data::send::push_syn_options(core, &mut header, now);
     } else if core.tcb.ts_on {
         header
             .options
-            .push(foxwire::tcp::TcpOption::Timestamps(crate::send::ts_val(now), core.tcb.ts_recent));
+            .push(foxwire::tcp::TcpOption::Timestamps(crate::data::send::ts_val(now), core.tcb.ts_recent));
     }
     header.window = core.tcb.wire_window_field(seg.syn);
     let tcb = &mut core.tcb;
@@ -352,7 +352,7 @@ pub fn retransmit_and_rearm<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>
 
 /// Records a freshly transmitted segment in the retransmission queue and
 /// starts the RTT clock if idle.
-pub fn record_sent<P>(tcb: &mut crate::tcb::Tcb<P>, seg: SentSegment, now: VirtualTime) {
+pub fn record_sent<P>(tcb: &mut crate::data::tcb::Tcb<P>, seg: SentSegment, now: VirtualTime) {
     if tcb.rtt.timing.is_none() && seg.seq_len() > 0 {
         tcb.rtt.timing = Some((seg.end(), now));
     }
@@ -366,7 +366,8 @@ pub fn record_sent<P>(tcb: &mut crate::tcb::Tcb<P>, seg: SentSegment, now: Virtu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tcb::{TcpState, INITIAL_RTO};
+    use crate::control::TcpState;
+    use crate::data::tcb::INITIAL_RTO;
 
     fn cfg() -> TcpConfig {
         TcpConfig::default()
@@ -375,7 +376,7 @@ mod tests {
     fn core_with_flight() -> ConnCore<u32> {
         let mut core: ConnCore<u32> = ConnCore::new(&cfg(), 1000, Seq(100), 1460);
         core.remote = Some((9, 2000));
-        core.state = TcpState::Estab;
+        core.set_state(TcpState::Estab);
         core.tcb.mss = 1000;
         core.tcb.snd_wnd = 8000;
         // 3000 bytes in the buffer, all sent as three 1000-byte segments.
@@ -400,7 +401,12 @@ mod tests {
     /// the control path (`state::timer_expired`), which wraps the data
     /// helpers under test here.
     fn rto(core: &mut ConnCore<u32>, at_ms: u64) {
-        crate::state::timer_expired(&cfg(), core, TimerKind::Resend, VirtualTime::from_millis(at_ms));
+        crate::control::state::timer_expired(
+            &cfg(),
+            core,
+            TimerKind::Resend,
+            VirtualTime::from_millis(at_ms),
+        );
     }
 
     #[test]
@@ -526,11 +532,10 @@ mod tests {
     #[test]
     fn timeout_shrinks_congestion_window() {
         let mut core = core_with_flight();
-        core.tcb.cwnd = 8000;
-        core.tcb.ssthresh = u32::MAX;
+        core.tcb.cc.set_windows(8000, u32::MAX);
         rto(&mut core, 1000);
-        assert_eq!(core.tcb.cwnd, 1000, "back to one MSS");
-        assert_eq!(core.tcb.ssthresh, 2000, "half the flight, floored at 2·MSS");
+        assert_eq!(core.tcb.cc.cwnd(), 1000, "back to one MSS");
+        assert_eq!(core.tcb.cc.ssthresh(), 2000, "half the flight, floored at 2·MSS");
     }
 
     #[test]
@@ -538,7 +543,7 @@ mod tests {
         let mut core = core_with_flight();
         core.tcb.retransmits_left = 0;
         rto(&mut core, 1000);
-        assert_eq!(core.state, TcpState::Closed);
+        assert_eq!(*core.state(), TcpState::Closed);
         let acts = drain(&core);
         assert!(acts.iter().any(|a| a == "User_Timeout"), "{acts:?}");
     }
@@ -546,8 +551,7 @@ mod tests {
     #[test]
     fn three_duplicate_acks_fast_retransmit() {
         let mut core = core_with_flight();
-        core.tcb.cwnd = 6000;
-        core.tcb.ssthresh = u32::MAX;
+        core.tcb.cc.set_windows(6000, u32::MAX);
         let now = VirtualTime::from_millis(10);
         duplicate_ack(&cfg(), &mut core, now);
         duplicate_ack(&cfg(), &mut core, now);
@@ -558,21 +562,20 @@ mod tests {
             acts.iter().any(|a| a.starts_with("Send_Segment(seq=100")),
             "fast retransmit of the first segment: {acts:?}"
         );
-        assert_eq!(core.tcb.ssthresh, 2000);
+        assert_eq!(core.tcb.cc.ssthresh(), 2000);
     }
 
     #[test]
     fn fast_recovery_entry_inflates_cwnd_by_three() {
         let mut core = core_with_flight();
-        core.tcb.cwnd = 6000;
-        core.tcb.ssthresh = u32::MAX;
+        core.tcb.cc.set_windows(6000, u32::MAX);
         let now = VirtualTime::from_millis(10);
         for _ in 0..3 {
             duplicate_ack(&cfg(), &mut core, now);
         }
         // flight 3000 → ssthresh 2000; cwnd = ssthresh + 3·MSS.
-        assert_eq!(core.tcb.ssthresh, 2000);
-        assert_eq!(core.tcb.cwnd, 5000);
+        assert_eq!(core.tcb.cc.ssthresh(), 2000);
+        assert_eq!(core.tcb.cc.cwnd(), 5000);
         assert_eq!(core.tcb.recover, Some(Seq(3100)), "recovery point is snd_nxt");
         let acts = drain(&core);
         assert!(acts.iter().any(|a| a == "Loss(RecoveryEntered)"), "{acts:?}");
@@ -582,8 +585,7 @@ mod tests {
     #[test]
     fn further_duplicates_inflate_and_send_new_data() {
         let mut core = core_with_flight();
-        core.tcb.cwnd = 6000;
-        core.tcb.ssthresh = u32::MAX;
+        core.tcb.cc.set_windows(6000, u32::MAX);
         // 2000 more bytes staged but unsent.
         core.tcb.send_buf.write(&[0xBB; 2000]);
         let now = VirtualTime::from_millis(10);
@@ -595,7 +597,7 @@ mod tests {
         // window (min(snd_wnd, cwnd) − flight = 3000) now admits the
         // staged data.
         duplicate_ack(&cfg(), &mut core, now);
-        assert_eq!(core.tcb.cwnd, 6000);
+        assert_eq!(core.tcb.cc.cwnd(), 6000);
         let acts = drain(&core);
         assert!(
             acts.iter().any(|a| a.starts_with("Send_Segment(seq=3100")),
@@ -607,8 +609,7 @@ mod tests {
     #[test]
     fn full_recovery_ack_deflates_to_ssthresh() {
         let mut core = core_with_flight();
-        core.tcb.cwnd = 6000;
-        core.tcb.ssthresh = u32::MAX;
+        core.tcb.cc.set_windows(6000, u32::MAX);
         let now = VirtualTime::from_millis(10);
         for _ in 0..4 {
             duplicate_ack(&cfg(), &mut core, now);
@@ -617,7 +618,7 @@ mod tests {
         // ACK covering the recovery point (3100) ends recovery.
         process_ack(&cfg(), &mut core, Seq(3100), VirtualTime::from_millis(50));
         assert_eq!(core.tcb.recover, None);
-        assert_eq!(core.tcb.cwnd, 2000, "deflated to ssthresh, not left inflated");
+        assert_eq!(core.tcb.cc.cwnd(), 2000, "deflated to ssthresh, not left inflated");
         let acts = drain(&core);
         assert!(acts.iter().any(|a| a == "Loss(RecoveryExited)"), "{acts:?}");
     }
@@ -625,8 +626,7 @@ mod tests {
     #[test]
     fn partial_ack_retransmits_next_hole_and_stays_in_recovery() {
         let mut core = core_with_flight();
-        core.tcb.cwnd = 6000;
-        core.tcb.ssthresh = u32::MAX;
+        core.tcb.cc.set_windows(6000, u32::MAX);
         let now = VirtualTime::from_millis(10);
         for _ in 0..3 {
             duplicate_ack(&cfg(), &mut core, now);
@@ -636,7 +636,7 @@ mod tests {
         process_ack(&cfg(), &mut core, Seq(1100), VirtualTime::from_millis(50));
         assert_eq!(core.tcb.recover, Some(Seq(3100)), "partial ACK keeps recovery open");
         // Deflate by the 1000 acked, add one MSS back: 5000 net.
-        assert_eq!(core.tcb.cwnd, 5000);
+        assert_eq!(core.tcb.cc.cwnd(), 5000);
         let acts = drain(&core);
         assert!(acts.iter().any(|a| a == "Loss(PartialAck)"), "{acts:?}");
         assert!(
@@ -648,8 +648,7 @@ mod tests {
     #[test]
     fn recovery_rearms_after_exit() {
         let mut core = core_with_flight();
-        core.tcb.cwnd = 6000;
-        core.tcb.ssthresh = u32::MAX;
+        core.tcb.cc.set_windows(6000, u32::MAX);
         let now = VirtualTime::from_millis(10);
         for _ in 0..5 {
             duplicate_ack(&cfg(), &mut core, now); // well past three
@@ -682,8 +681,7 @@ mod tests {
     #[test]
     fn rto_abandons_recovery() {
         let mut core = core_with_flight();
-        core.tcb.cwnd = 6000;
-        core.tcb.ssthresh = u32::MAX;
+        core.tcb.cc.set_windows(6000, u32::MAX);
         let now = VirtualTime::from_millis(10);
         for _ in 0..3 {
             duplicate_ack(&cfg(), &mut core, now);
@@ -691,7 +689,7 @@ mod tests {
         assert!(core.tcb.recover.is_some());
         rto(&mut core, 2000);
         assert_eq!(core.tcb.recover, None, "slow start owns the window after an RTO");
-        assert_eq!(core.tcb.cwnd, 1000);
+        assert_eq!(core.tcb.cc.cwnd(), 1000);
         let acts = drain(&core);
         assert!(acts.iter().any(|a| a == "Loss(Rto)"), "{acts:?}");
     }

@@ -8,8 +8,8 @@
 //! algorithm, and stages the segments.
 
 use crate::action::{LossEvent, TcpAction, TimerKind};
-use crate::resend;
-use crate::tcb::SentSegment;
+use crate::data::resend;
+use crate::data::tcb::SentSegment;
 use crate::{ConnCore, TcpConfig};
 use foxbasis::buf::{PacketBuf, DEFAULT_HEADROOM};
 use foxbasis::seq::Seq;
@@ -249,13 +249,13 @@ pub fn reset_for(local_port: u16, seg: &TcpSegment) -> TcpSegment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tcb::TcpState;
+    use crate::control::TcpState;
 
     fn estab_core(wnd: u32) -> ConnCore<u32> {
         let cfg = TcpConfig::default();
         let mut core: ConnCore<u32> = ConnCore::new(&cfg, 1000, Seq(100), 1460);
         core.remote = Some((7, 2000));
-        core.state = TcpState::Estab;
+        core.set_state(TcpState::Estab);
         core.tcb.mss = 1000;
         core.tcb.snd_wnd = wnd;
         core.tcb.rcv_nxt = Seq(5000);
@@ -333,7 +333,7 @@ mod tests {
     fn send_respects_congestion_window() {
         let cfg = TcpConfig { nagle: false, ..TcpConfig::default() };
         let mut core = estab_core(60_000);
-        core.tcb.cwnd = 2000;
+        core.tcb.cc.set_windows(2000, core.tcb.cc.ssthresh());
         user_send(&cfg, &mut core, &[1u8; 8000], VirtualTime::ZERO);
         let segs = staged_segments(&core);
         let sent: usize = segs.iter().map(|s| s.payload.len()).sum();
@@ -404,7 +404,7 @@ mod tests {
             window_probe(&cfg, &mut core, now);
             // The peer ACKs the probe byte but still advertises zero.
             let ack = core.tcb.snd_nxt;
-            crate::resend::process_ack(&cfg, &mut core, ack, now);
+            crate::data::resend::process_ack(&cfg, &mut core, ack, now);
             assert_eq!(core.tcb.rtt.backoff, 0, "the probe ACK resets the RTT backoff");
             let acts: Vec<String> =
                 core.tcb.to_do.borrow_mut().drain_all().iter().map(|a| format!("{a:?}")).collect();
@@ -487,7 +487,7 @@ mod tests {
         let cfg = TcpConfig::default();
         let mut core: ConnCore<u32> = ConnCore::new(&cfg, 1000, Seq(100), 1460);
         core.remote = Some((7, 2000));
-        core.state = TcpState::SynSent { retries_left: 3 };
+        core.set_state(TcpState::SynSent { retries_left: 3 });
         queue_syn(&mut core, false, VirtualTime::ZERO);
         let segs = staged_segments(&core);
         assert_eq!(segs.len(), 1);
@@ -512,7 +512,7 @@ mod tests {
         };
         let mut core: ConnCore<u32> = ConnCore::new(&cfg, 1000, Seq(100), 1460);
         core.remote = Some((7, 2000));
-        core.state = TcpState::SynSent { retries_left: 3 };
+        core.set_state(TcpState::SynSent { retries_left: 3 });
         queue_syn(&mut core, false, VirtualTime::from_millis(250));
         let segs = staged_segments(&core);
         let h = &segs[0].header;
@@ -526,7 +526,7 @@ mod tests {
         // offered nothing, so nothing is echoed even though we offer.
         let mut core: ConnCore<u32> = ConnCore::new(&cfg, 1000, Seq(100), 1460);
         core.remote = Some((7, 2000));
-        core.state = TcpState::SynPassive { retries_left: 3 };
+        core.set_state(TcpState::SynPassive { retries_left: 3 });
         queue_syn(&mut core, true, VirtualTime::ZERO);
         let segs = staged_segments(&core);
         let h = &segs[0].header;
@@ -586,7 +586,7 @@ mod tests {
         let cfg = TcpConfig { send_buffer: 100, nagle: false, ..TcpConfig::default() };
         let mut core: ConnCore<u32> = ConnCore::new(&cfg, 1, Seq(0), 1460);
         core.remote = Some((7, 2));
-        core.state = TcpState::Estab;
+        core.set_state(TcpState::Estab);
         core.tcb.mss = 1000;
         core.tcb.snd_wnd = 0; // nothing drains
         assert_eq!(user_send(&cfg, &mut core, &[1; 60], VirtualTime::ZERO), 60);

@@ -5,8 +5,8 @@
 //! every `TcpState` write; the checks that move sequence numbers,
 //! windows, and bytes — PAWS/timestamps, sequence acceptability, the
 //! send-window update rule, text processing, urgent pointers — live
-//! here, where the `tcb_write` whitelist (and the `ctrl_data` rule's
-//! inverse) permits them. The two halves communicate narrowly:
+//! here, inside the one module whose visibility admits writes to the
+//! sequence variables. The two halves communicate narrowly:
 //!
 //! * control hands data an [`EstablishedHandle`] (minted next to the
 //!   `TcpState::Estab` write, nowhere else) to run [`establish`], the
@@ -18,8 +18,8 @@
 
 use crate::action::{TcpAction, TimerKind};
 use crate::control::EstablishedHandle;
+use crate::control::TcpState;
 use crate::data::{congestion, send};
-use crate::tcb::TcpState;
 use crate::{ConnCore, TcpConfig};
 use foxbasis::buf::PacketBuf;
 use foxbasis::seq::Seq;
@@ -126,7 +126,7 @@ pub(crate) fn establish<P: Clone + PartialEq + Debug>(
 /// tell the user once per urgent region; like the paper's stack, we do
 /// not expedite delivery.
 pub(crate) fn check_urg<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>, seg: &TcpSegment) {
-    if !seg.header.flags.urg || !core.state.can_receive() {
+    if !seg.header.flags.urg || !core.state().can_receive() {
         return;
     }
     let up = seg.header.seq + u32::from(seg.header.urgent);
@@ -157,7 +157,7 @@ pub(crate) fn check_sequence<P: Clone + PartialEq + Debug>(
     };
     if !acceptable && !seg.header.flags.rst {
         send::queue_ack(core, now);
-        if core.state == TcpState::TimeWait {
+        if *core.state() == TcpState::TimeWait {
             // A retransmitted FIN restarts the 2MSL timer.
             core.tcb.push_action(TcpAction::SetTimer(TimerKind::TimeWait, cfg.time_wait_ms));
         }
@@ -230,7 +230,7 @@ pub(crate) fn process_text<P: Clone + PartialEq + Debug>(
     if seg.payload.is_empty() {
         return;
     }
-    if !core.state.can_receive() {
+    if !core.state().can_receive() {
         // "This should not occur, since a FIN has been received from the
         // remote side. Ignore the segment text."
         return;
@@ -287,6 +287,7 @@ pub(crate) fn process_text<P: Clone + PartialEq + Debug>(
         if in_window {
             tcb.insert_out_of_order(seq, seg.payload.clone(), fin);
         }
+        tcb.sack_trigger = Some(seq);
         send::queue_ack(core, now);
     } else {
         // Overlapping retransmission: the head is old, the tail may be
@@ -316,6 +317,7 @@ pub(crate) fn process_text<P: Clone + PartialEq + Debug>(
 /// reassembly queue so the gap's eventual fill re-exposes it.
 pub(crate) fn note_out_of_order_fin<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>, seq: Seq) {
     core.tcb.insert_out_of_order(seq, PacketBuf::new(), true);
+    core.tcb.sack_trigger = Some(seq);
 }
 
 /// Consumes the peer's FIN at the left window edge: `RCV.NXT` steps
@@ -333,7 +335,7 @@ pub(crate) fn consume_fin<P: Clone + PartialEq + Debug>(
 
 /// Initial congestion window: one MSS (Jacobson's 1988 slow start, as
 /// 1994 practice had it). The write happens behind the
-/// [`crate::congestion::CongestionControl`] seam.
+/// [`crate::data::congestion::CongestionControl`] seam.
 pub(crate) fn init_cwnd<P: Clone + PartialEq + Debug>(cfg: &TcpConfig, core: &mut ConnCore<P>) {
     if cfg.congestion_control {
         congestion::init(&mut core.tcb);

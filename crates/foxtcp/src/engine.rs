@@ -16,11 +16,11 @@
 //! paper advertises. [`crate::TcpConfig`] carries the value parameters.
 
 use crate::action::{AttackEvent, LossEvent, TcpAction, TimerKind};
+use crate::control::segment::{self, ListenVerdict};
+use crate::control::state;
+use crate::control::TcpState;
+use crate::data::send;
 use crate::demux::{Demux, DemuxStats};
-use crate::receive::{self, ListenVerdict};
-use crate::send;
-use crate::state;
-use crate::tcb::TcpState;
 use crate::{ConnCore, TcpConfig};
 use fox_scheduler::SchedHandle;
 use foxbasis::buf::copy_mark;
@@ -28,7 +28,6 @@ use foxbasis::fifo::Fifo;
 use foxbasis::obs::{ConnMetrics, Event, EventSink};
 use foxbasis::seq::Seq;
 use foxbasis::time::{VirtualDuration, VirtualTime};
-use foxbasis::trace::Trace;
 use foxbasis::wheel::{TimerWheel, WheelStats};
 use foxproto::aux::IpAux;
 use foxproto::{Handler, ProtoError, Protocol};
@@ -173,7 +172,7 @@ fn timer_index(kind: TimerKind) -> usize {
 ///    and type Lower.incoming_message = Aux.incoming_message
 ///    val initial_window / compute_checksums / ...  -- TcpConfig
 ///    structure Scheduler: COROUTINE       -- SchedHandle
-///    structure B: FOX_BASIS               -- HostHandle + Trace
+///    structure B: FOX_BASIS               -- HostHandle + EventSink
 ///    ...): TCP_PROTOCOL
 /// ```
 pub struct Tcp<L, A>
@@ -186,7 +185,6 @@ where
     cfg: TcpConfig,
     sched: SchedHandle,
     host: HostHandle,
-    trace: Trace,
     lower_pattern: L::Pattern,
     lower_conn: Option<L::ConnId>,
     rx: Rc<RefCell<Fifo<L::Incoming>>>,
@@ -220,31 +218,6 @@ fn seg_cause(f: &foxwire::tcp::TcpFlags) -> &'static str {
     }
 }
 
-/// Renders wire flags as the event layer's bitmask.
-fn obs_flags(f: &foxwire::tcp::TcpFlags) -> u8 {
-    use foxbasis::obs::flags;
-    let mut bits = 0;
-    if f.fin {
-        bits |= flags::FIN;
-    }
-    if f.syn {
-        bits |= flags::SYN;
-    }
-    if f.rst {
-        bits |= flags::RST;
-    }
-    if f.psh {
-        bits |= flags::PSH;
-    }
-    if f.ack {
-        bits |= flags::ACK;
-    }
-    if f.urg {
-        bits |= flags::URG;
-    }
-    bits
-}
-
 impl<L, A> Tcp<L, A>
 where
     L: Protocol,
@@ -259,7 +232,6 @@ where
         sched: SchedHandle,
         host: HostHandle,
     ) -> Tcp<L, A> {
-        let trace = Trace::new("tcp", cfg.do_prints, cfg.do_traces);
         let wheel = TimerWheel::new(sched.now());
         Tcp {
             lower,
@@ -267,7 +239,6 @@ where
             cfg,
             sched,
             host,
-            trace,
             lower_pattern,
             lower_conn: None,
             rx: Rc::new(RefCell::new(Fifo::new())),
@@ -313,9 +284,9 @@ where
         Some(ConnMetrics {
             srtt_us: tcb.rtt.srtt.map(|d| d.as_micros()),
             rto_us: tcb.rtt.rto.as_micros(),
-            cwnd: tcb.cwnd,
-            ssthresh: tcb.ssthresh,
-            snd_wnd: tcb.snd_wnd,
+            cwnd: tcb.cc.cwnd(),
+            ssthresh: tcb.cc.ssthresh(),
+            snd_wnd: tcb.snd_wnd(),
             bytes_in_flight: tcb.flight_size(),
             fastpath_hits: self.stats.fastpath_hits,
             fastpath_misses: self.stats.fastpath_misses,
@@ -333,15 +304,9 @@ where
         })
     }
 
-    /// The `do_prints`/`do_traces` log collected so far (paper Fig. 4's
-    /// debugging parameters).
-    pub fn trace_log(&self) -> Vec<String> {
-        self.trace.messages()
-    }
-
     /// The connection's current state, if it still exists.
     pub fn state_of(&self, conn: TcpConnId) -> Option<TcpState> {
-        self.conn_index(conn).map(|i| self.conns[i].core.state.clone())
+        self.conn_index(conn).map(|i| self.conns[i].core.state().clone())
     }
 
     /// Free space in the connection's send buffer.
@@ -372,7 +337,7 @@ where
         let i = self.conn_index(conn).ok_or(ProtoError::NotOpen)?;
         {
             let core = &mut self.conns[i].core;
-            match core.state {
+            match *core.state() {
                 TcpState::Closed => return Err(ProtoError::NotOpen),
                 TcpState::Listen { .. } => return Err(ProtoError::Invalid("send on listener")),
                 ref s
@@ -515,13 +480,7 @@ where
             }
         }
         let mark = copy_mark();
-        let bytes = match seg.encode_buf(pseudo) {
-            Ok(b) => b,
-            Err(e) => {
-                self.trace.print(&format!("encode failed: {e}"));
-                return;
-            }
-        };
+        let Ok(bytes) = seg.encode_buf(pseudo) else { return };
         let delta = mark.delta();
         if delta.bytes > 0 {
             self.stats.buf_copies += delta.copies;
@@ -539,20 +498,10 @@ where
                 seq: seg.header.seq.0,
                 ack: seg.header.ack.0,
                 len: seg.payload.len() as u32,
-                flags: obs_flags(&seg.header.flags),
+                flags: seg.header.flags.to_u8(),
                 wnd: u32::from(seg.header.window),
             });
         }
-        self.trace.trace(|| {
-            format!(
-                "tx seq={} ack={} len={} {:?} wnd={}",
-                seg.header.seq,
-                seg.header.ack,
-                seg.payload.len(),
-                seg.header.flags,
-                seg.header.window
-            )
-        });
         if seg.payload.is_empty() && !seg.header.flags.syn && !seg.header.flags.fin {
             self.stats.acks_sent += 1;
         }
@@ -629,7 +578,7 @@ where
                     TcpAction::TimerExpiration(_) => "timer",
                     _ => "action",
                 };
-                Some((self.conns[idx].core.state.name(), cause))
+                Some((self.conns[idx].core.state().name(), cause))
             } else {
                 None
             };
@@ -639,36 +588,26 @@ where
                         seq: seg.header.seq.0,
                         ack: seg.header.ack.0,
                         len: seg.payload.len() as u32,
-                        flags: obs_flags(&seg.header.flags),
+                        flags: seg.header.flags.to_u8(),
                         wnd: u32::from(seg.header.window),
-                    });
-                    self.trace.trace(|| {
-                        format!(
-                            "rx seq={} ack={} len={} {:?} state={:?}",
-                            seg.header.seq,
-                            seg.header.ack,
-                            seg.payload.len(),
-                            seg.header.flags,
-                            self.conns[idx].core.state
-                        )
                     });
                     self.host.charge_tcp_segment_sized(seg.payload.len());
                     self.host.with(|h| h.alloc_segment(seg.payload.len()));
                     let mut handled_fast = false;
                     if self.cfg.fast_path {
                         let core = &mut self.conns[idx].core;
-                        handled_fast = crate::fastpath::try_fast(&self.cfg, core, &seg, now);
+                        handled_fast = crate::data::fastpath::try_fast(&self.cfg, core, &seg, now);
                     }
                     if handled_fast {
                         self.stats.fastpath_hits += 1;
                     } else {
                         self.stats.fastpath_misses += 1;
-                        if seg.header.seq != self.conns[idx].core.tcb.rcv_nxt && !seg.payload.is_empty() {
+                        if seg.header.seq != self.conns[idx].core.tcb.rcv_nxt() && !seg.payload.is_empty() {
                             self.stats.out_of_order += 1;
                         }
                         let disposition = {
                             let core = &mut self.conns[idx].core;
-                            receive::segment_arrives(&self.cfg, core, seg, now)
+                            segment::segment_arrives(&self.cfg, core, seg, now)
                         };
                         if let Some(reply) = disposition.reply {
                             self.transmit(idx, reply);
@@ -691,7 +630,7 @@ where
                         let wnd = core.tcb.rcv_wnd();
                         let grew = wnd.saturating_sub(core.tcb.last_adv_wnd);
                         let half = (core.tcb.recv_buf.capacity() as u32 / 2).max(1);
-                        if core.state == TcpState::Estab && (grew >= 2 * core.tcb.mss || grew >= half) {
+                        if *core.state() == TcpState::Estab && (grew >= 2 * core.tcb.mss || grew >= half) {
                             send::queue_ack(core, now);
                         }
                     }
@@ -721,7 +660,7 @@ where
                     self.deliver(idx, TcpEvent::NewConnection(TcpConnId(child)))
                 }
                 TcpAction::UrgentData(up) => {
-                    let offset = up.since(self.conns[idx].core.tcb.irs);
+                    let offset = up.since(self.conns[idx].core.tcb.irs());
                     self.deliver(idx, TcpEvent::Urgent(offset));
                 }
                 TcpAction::AckedTo(_) => {}
@@ -742,7 +681,6 @@ where
                         LossEvent::Rto => self.stats.rto_fires += 1,
                         LossEvent::Probe => self.stats.probe_fires += 1,
                     }
-                    self.trace.trace(|| format!("conn {}: loss event {ev:?}", self.conns[idx].id));
                 }
                 TcpAction::Attack(ev) => {
                     self.obs.emit(now, conn_obs_id, || Event::Attack { kind: ev.name() });
@@ -750,12 +688,11 @@ where
                         AttackEvent::RstBadSeq => self.stats.rst_rejected_seq += 1,
                         AttackEvent::AckUnsentData => self.stats.acks_ignored_unsent_data += 1,
                     }
-                    self.trace.trace(|| format!("conn {}: attack repelled {ev:?}", self.conns[idx].id));
                 }
             }
             if let Some((before, cause)) = state_before {
                 if let Some(i2) = self.index_of_id(conn_id) {
-                    let after = self.conns[i2].core.state.name();
+                    let after = self.conns[i2].core.state().name();
                     if before != after {
                         self.obs.emit(now, conn_obs_id, || Event::StateTransition {
                             from: before,
@@ -809,7 +746,7 @@ where
             self.demux.lookup_flow(seg.header.dst_port, A::hash(&src), seg.header.src_port, |idx, _id| {
                 let c = &conns[idx];
                 c.core.remote.as_ref().is_some_and(|(a, p)| A::eq(a, &src) && *p == seg.header.src_port)
-                    && c.core.state != TcpState::Closed
+                    && *c.core.state() != TcpState::Closed
             })
         };
         if let Some((idx, id)) = exact {
@@ -822,18 +759,18 @@ where
         let listener = {
             let conns = &self.conns;
             self.demux.lookup_listener(seg.header.dst_port, |idx, _id| {
-                matches!(conns[idx].core.state, TcpState::Listen { .. })
+                matches!(conns[idx].core.state(), TcpState::Listen { .. })
             })
         };
         if let Some((lidx, lid)) = listener {
-            match receive::on_listen_segment(seg.header.dst_port, &seg) {
+            match segment::on_listen_segment(seg.header.dst_port, &seg) {
                 ListenVerdict::Ignore => {}
                 ListenVerdict::Reply(rst) => self.transmit_to(rst, src),
                 ListenVerdict::Spawn => {
                     // The verify closure above only accepts Listen, but
                     // stay total on the rx path: treat anything else as
                     // a vanished listener and drop the SYN.
-                    let TcpState::Listen { backlog } = self.conns[lidx].core.state else {
+                    let TcpState::Listen { backlog } = *self.conns[lidx].core.state() else {
                         return;
                     };
                     // The backlog is a real bounded accept queue: it
@@ -846,12 +783,13 @@ where
                         .conns
                         .iter()
                         .filter(|c| {
-                            c.parent == Some(lid) && c.handler.is_none() && c.core.state != TcpState::Closed
+                            c.parent == Some(lid)
+                                && c.handler.is_none()
+                                && *c.core.state() != TcpState::Closed
                         })
                         .count();
                     if pending >= backlog {
                         self.stats.syns_dropped += 1;
-                        self.trace.trace(|| "SYN dropped: backlog full".into());
                         return;
                     }
                     let child = self.new_conn(
@@ -875,7 +813,7 @@ where
         }
 
         // No connection at all: RFC 793 p. 36.
-        if let Some(rst) = receive::on_closed_segment(&self.cfg, seg.header.dst_port, &seg) {
+        if let Some(rst) = segment::on_closed_segment(&self.cfg, seg.header.dst_port, &seg) {
             self.transmit_to(rst, src);
         }
     }
@@ -886,7 +824,7 @@ where
         let demux = &mut self.demux;
         let mut removed = false;
         self.conns.retain(|c| {
-            let done = c.core.state == TcpState::Closed
+            let done = *c.core.state() == TcpState::Closed
                 && c.core.tcb.to_do.borrow().is_empty()
                 && c.pending_events.is_empty()
                 && (c.finished || c.parent.is_some());
@@ -933,12 +871,12 @@ where
                     .lookup_flow(local_port, A::hash(&remote), remote_port, |idx, _id| {
                         let c = &conns[idx];
                         c.core.remote.as_ref().is_some_and(|(a, p)| A::eq(a, &remote) && *p == remote_port)
-                            && c.core.state != TcpState::Closed
+                            && *c.core.state() != TcpState::Closed
                     })
                     .is_some()
                     || self
                         .demux
-                        .lookup_listener(local_port, |idx, _id| conns[idx].core.state != TcpState::Closed)
+                        .lookup_listener(local_port, |idx, _id| *conns[idx].core.state() != TcpState::Closed)
                         .is_some();
                 if clash {
                     return Err(ProtoError::AlreadyOpen);
@@ -953,7 +891,7 @@ where
                 }
                 self.obs.emit(now, id, || Event::StateTransition {
                     from: "Closed",
-                    to: self.conns[idx].core.state.name(),
+                    to: self.conns[idx].core.state().name(),
                     cause: "open",
                 });
                 self.run_actions(id);
@@ -967,7 +905,7 @@ where
                 let clash = self
                     .demux
                     .lookup_listener(local_port, |idx, _id| {
-                        matches!(conns[idx].core.state, TcpState::Listen { .. })
+                        matches!(conns[idx].core.state(), TcpState::Listen { .. })
                     })
                     .is_some();
                 if clash {
@@ -982,7 +920,7 @@ where
                 }
                 self.obs.emit(self.sched.now(), id, || Event::StateTransition {
                     from: "Closed",
-                    to: self.conns[idx].core.state.name(),
+                    to: self.conns[idx].core.state().name(),
                     cause: "open",
                 });
                 Ok(TcpConnId(id))
@@ -1011,12 +949,12 @@ where
     fn close(&mut self, conn: TcpConnId) -> Result<(), ProtoError> {
         let i = self.conn_index(conn).ok_or(ProtoError::NotOpen)?;
         let now = self.sched.now();
-        let before = self.conns[i].core.state.name();
+        let before = self.conns[i].core.state().name();
         let res = {
             let core = &mut self.conns[i].core;
             state::close(&self.cfg, core, now)
         };
-        let after = self.conns[i].core.state.name();
+        let after = self.conns[i].core.state().name();
         if before != after {
             self.obs.emit(now, conn.0, || Event::StateTransition { from: before, to: after, cause: "close" });
         }
@@ -1027,12 +965,12 @@ where
     fn abort(&mut self, conn: TcpConnId) -> Result<(), ProtoError> {
         let i = self.conn_index(conn).ok_or(ProtoError::NotOpen)?;
         let now = self.sched.now();
-        let before = self.conns[i].core.state.name();
+        let before = self.conns[i].core.state().name();
         let res = {
             let core = &mut self.conns[i].core;
             state::abort(&self.cfg, core, now)
         };
-        let after = self.conns[i].core.state.name();
+        let after = self.conns[i].core.state().name();
         if before != after {
             self.obs.emit(self.sched.now(), conn.0, || Event::StateTransition {
                 from: before,
@@ -1898,23 +1836,6 @@ mod extended_tests {
     }
 
     #[test]
-    fn traces_record_segment_flow_when_enabled() {
-        let link = LinkPair::new();
-        let cfg = TcpConfig { do_traces: true, ..TcpConfig::default() };
-        let mut a = engine(&link, 0, cfg.clone());
-        let mut b = engine(&link, 1, TcpConfig::default());
-        b.open(TcpPattern::Passive { local_port: 80 }, Box::new(|_| {})).unwrap();
-        a.open(TcpPattern::Active { remote: 1, remote_port: 80, local_port: 5000 }, Box::new(|_| {}))
-            .unwrap();
-        spin(&mut a, &mut b);
-        let log = a.trace_log();
-        assert!(log.iter().any(|l| l.contains("tx") && l.contains("SYN")), "{log:?}");
-        assert!(log.iter().any(|l| l.contains("rx") && l.contains("SYN+ACK")), "{log:?}");
-        // Tracing off: silent.
-        assert!(b.trace_log().is_empty());
-    }
-
-    #[test]
     fn urgent_test_filter_decodes_what_engine_encodes() {
         // Sanity for the filter trick above: decode(encode(x)) == x with
         // checksums off (the TestAux configuration).
@@ -1997,21 +1918,23 @@ mod half_close_tests {
 mod golden_trace_tests {
     //! "Once the actions have been placed on the queue the behavior of
     //! TCP is completely deterministic and testable" — pinned as a
-    //! golden trace: the exact segment sequence of a canonical
-    //! handshake + exchange + close, captured via `do_traces`.
+    //! golden trace: the exact event stream of a canonical handshake +
+    //! exchange + close, recorded through the `obs` sink.
 
     use super::*;
     use crate::testlink::{LinkPair, TestAux};
+    use foxbasis::obs::{flags_to_string, Stamped};
 
     #[test]
     fn canonical_session_trace_is_stable() {
         let run = || {
-            let cfg =
-                TcpConfig { nagle: false, delayed_ack_ms: None, do_traces: true, ..TcpConfig::default() };
+            let cfg = TcpConfig { nagle: false, delayed_ack_ms: None, ..TcpConfig::default() };
             let link = LinkPair::new();
             let mut a =
                 Tcp::new(link.endpoint(0), TestAux, (), cfg.clone(), SchedHandle::new(), HostHandle::free());
             let mut b = Tcp::new(link.endpoint(1), TestAux, (), cfg, SchedHandle::new(), HostHandle::free());
+            let sink = EventSink::recording(4096);
+            a.set_obs(sink.clone());
             b.open(TcpPattern::Passive { local_port: 80 }, Box::new(|_| {})).unwrap();
             let ca = a
                 .open(TcpPattern::Active { remote: 1, remote_port: 80, local_port: 9000 }, Box::new(|_| {}))
@@ -2031,26 +1954,27 @@ mod golden_trace_tests {
             spin(&mut a, &mut b);
             a.close(ca).unwrap();
             spin(&mut a, &mut b);
-            a.trace_log()
+            assert_eq!(sink.dropped(), 0);
+            sink.events()
         };
         let t1 = run();
         let t2 = run();
-        assert_eq!(t1, t2, "byte-identical traces across runs");
+        assert_eq!(t1, t2, "event-for-event identical traces across runs");
 
-        // The flag sequence of a's transmissions is the textbook session.
-        let tx_flags: Vec<String> = t1
-            .iter()
-            .filter(|l| l.contains("tx"))
-            .map(|l| {
-                l.split_whitespace()
-                    .find(|w| {
-                        w.contains("SYN") || w.contains("ACK") || w.contains("FIN") || w.contains("<none>")
-                    })
-                    .unwrap_or("?")
-                    .to_string()
-            })
-            .collect();
-        assert_eq!(tx_flags, vec!["SYN", "ACK", "PSH+ACK", "FIN+ACK"], "full log:\n{}", t1.join("\n"));
+        // The flag sequences of a's segments are the textbook session.
+        let flags_of = |rx: bool| -> Vec<String> {
+            t1.iter()
+                .filter_map(|e: &Stamped| match e.event {
+                    Event::SegTx { flags, .. } if !rx => Some(flags_to_string(flags)),
+                    Event::SegRx { flags, .. } if rx => Some(flags_to_string(flags)),
+                    _ => None,
+                })
+                .collect()
+        };
+        let log = foxbasis::obs::to_jsonl(&t1);
+        assert_eq!(flags_of(false), vec!["SYN", "ACK", "PSH+ACK", "FIN+ACK"], "full log:\n{log}");
+        // b never closes: a's FIN is answered by a bare ACK.
+        assert_eq!(flags_of(true), vec!["SYN+ACK", "ACK", "ACK"], "full log:\n{log}");
     }
 }
 

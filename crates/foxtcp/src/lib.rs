@@ -6,7 +6,7 @@
 //!
 //! | paper module | here          | job |
 //! |--------------|---------------|-----|
-//! | `Tcb`        | [`tcb`]       | the TCB record and `tcp_state` datatype (Fig. 6) |
+//! | `Tcb`        | [`data::tcb`] + [`TcpState`] | the TCB record and `tcp_state` datatype (Fig. 6) |
 //! | `Main`       | [`engine`]    | the quasi-synchronous executor and user operations |
 //! | `State`      | [`control::state`] | open/close/abort and timer-expiration state manipulations |
 //! | `Receive`    | [`control::segment`] + [`data::transfer`] | RFC 793 SEGMENT-ARRIVES, branch for branch, functions as merge points |
@@ -19,10 +19,13 @@
 //! *which half of TCP they implement*: [`control`] owns the connection
 //! lifecycle (every [`TcpState`] write), [`data`] owns byte transfer
 //! (every sequence/window/congestion write), and the two communicate
-//! only through the narrow seams in [`data::transfer`]. The `ctrl_data`
-//! foxlint rule enforces the split mechanically, and [`socket`] exposes
-//! it to users as a typestate API where illegal operations (sending on
-//! a listener) fail to compile.
+//! only through the narrow seams in [`data::transfer`]. Rust visibility
+//! enforces the split: `state` is private to [`control`], the TCB's
+//! sequence/window fields are `pub(in crate::data)`, and `cwnd`/`ssthresh`
+//! are private to [`data::congestion`], so a write from the wrong half
+//! does not compile. [`socket`] exposes the lifecycle to users as a
+//! typestate API where illegal operations (sending on a listener) fail
+//! to compile too.
 //!
 //! The control structure is the paper's Fig. 7: timer expirations and
 //! message receptions are asynchronous, but each merely *enqueues* a
@@ -44,25 +47,15 @@ pub mod data;
 pub mod demux;
 pub mod engine;
 pub mod socket;
-pub mod tcb;
 pub mod testlink;
 
-// Flat aliases for the paper's module names: `foxtcp::receive`,
-// `foxtcp::send`, ... keep working while the files themselves live on
-// the side of the control/data boundary they belong to.
-pub use control::segment as receive;
-pub use control::state;
-pub use data::{congestion, fastpath, resend, send};
-
 pub use action::{LossEvent, TcpAction, TimerKind};
-pub use congestion::CcAlg;
+pub use control::{ConnCore, TcpState};
+pub use data::congestion::CcAlg;
+pub use data::tcb::Tcb;
 pub use demux::{Demux, DemuxStats};
 pub use engine::{Tcp, TcpConnId, TcpEvent, TcpPattern, TcpStats};
 pub use socket::{ConnectingSocket, EstablishedSocket, ListeningSocket};
-pub use tcb::{Tcb, TcpState};
-
-use foxbasis::seq::Seq;
-use tcb::Tcb as TcbT;
 
 /// The value parameters of the TCP functor (paper Fig. 4).
 #[derive(Clone, Debug)]
@@ -113,10 +106,9 @@ pub struct TcpConfig {
     pub congestion_control: bool,
     /// Which algorithm owns `cwnd`/`ssthresh` when `congestion_control`
     /// is on. Reno is the paper-era default; every write goes through
-    /// the [`congestion::CongestionControl`] trait either way (the
-    /// `cc_write` foxlint rule enforces that the seam is the only
-    /// writer).
-    pub congestion_algorithm: congestion::CcAlg,
+    /// the [`data::congestion::CongestionControl`] trait either way
+    /// (the windows are private to that module).
+    pub congestion_algorithm: CcAlg,
     /// Offer RFC 7323 window scaling on our SYN. Scaling only turns on
     /// when both sides offer it; otherwise windows stay 16-bit exactly
     /// as before.
@@ -133,10 +125,6 @@ pub struct TcpConfig {
     pub syn_retries: u32,
     /// Default backlog for passive opens.
     pub backlog: usize,
-    /// `val do_prints: bool`.
-    pub do_prints: bool,
-    /// `val do_traces: bool`.
-    pub do_traces: bool,
 }
 
 impl Default for TcpConfig {
@@ -156,7 +144,7 @@ impl Default for TcpConfig {
             fast_path: true,
             latency_priority: false,
             congestion_control: true,
-            congestion_algorithm: congestion::CcAlg::Reno,
+            congestion_algorithm: CcAlg::Reno,
             window_scale: false,
             sack: false,
             timestamps: false,
@@ -164,8 +152,6 @@ impl Default for TcpConfig {
             max_retransmits: 12,
             syn_retries: 5,
             backlog: 8,
-            do_prints: false,
-            do_traces: false,
         }
     }
 }
@@ -176,40 +162,5 @@ impl TcpConfig {
     /// yields the historical BSD threshold of 2.
     pub fn ack_threshold(&self) -> u32 {
         self.ack_coalesce_segments.unwrap_or(2).max(1)
-    }
-}
-
-/// The per-connection core the State/Receive/Send/Resend modules operate
-/// on: everything about a connection *except* the engine-side plumbing
-/// (user handler, timer handles). Module-level tests construct one of
-/// these, apply one operation, and compare the TCB against the standard
-/// — the paper's test structure.
-pub struct ConnCore<P> {
-    /// Our port.
-    pub local_port: u16,
-    /// Peer address and port (`None` while listening).
-    pub remote: Option<(P, u16)>,
-    /// The connection state.
-    pub state: TcpState,
-    /// The transmission control block.
-    pub tcb: TcbT<P>,
-    /// The MSS we advertise on SYNs (from the aux structure's MTU).
-    pub our_mss: u32,
-}
-
-impl<P: Clone + PartialEq + std::fmt::Debug> ConnCore<P> {
-    /// A fresh closed connection core.
-    pub fn new(cfg: &TcpConfig, local_port: u16, iss: Seq, our_mss: u32) -> ConnCore<P> {
-        let mut tcb = TcbT::new(iss, cfg.send_buffer, cfg.initial_window);
-        // The options we will offer at SYN time (each only turns on if
-        // the peer offers it back; see `receive`).
-        tcb.offer_wscale = cfg.window_scale;
-        tcb.offer_sack = cfg.sack;
-        tcb.offer_ts = cfg.timestamps;
-        if cfg.window_scale {
-            tcb.rcv_wscale = tcb::wscale_for(cfg.initial_window);
-        }
-        tcb.cc = congestion::CcMachine::new(cfg.congestion_algorithm);
-        ConnCore { local_port, remote: None, state: TcpState::Closed, tcb, our_mss }
     }
 }

@@ -39,13 +39,51 @@
 //! }
 //! ```
 //!
+//! The same goes for the connection record itself: each half of the
+//! stack owns its fields by visibility, so a write from anywhere else is
+//! a compile error. The TCB's sequence/window variables (`snd_nxt` and
+//! its twelve siblings) are private to the data path:
+//!
+//! ```compile_fail,E0616
+//! use foxtcp::Tcb;
+//!
+//! fn meddle(tcb: &mut Tcb<u8>) {
+//!     tcb.snd_nxt = tcb.snd_nxt() + 1;
+//! }
+//! ```
+//!
+//! The congestion windows are private to the congestion module, so
+//! every write goes through the `CongestionControl` seam:
+//!
+//! ```compile_fail,E0616
+//! fn meddle(tcb: &mut foxtcp::Tcb<u8>) {
+//!     tcb.cc.cwnd += 1460;
+//! }
+//! ```
+//!
+//! ```compile_fail,E0616
+//! fn meddle(tcb: &mut foxtcp::Tcb<u8>) {
+//!     tcb.cc.ssthresh = 4096;
+//! }
+//! ```
+//!
+//! And the connection state is private to the control path:
+//!
+//! ```compile_fail,E0616
+//! use foxtcp::{ConnCore, TcpState};
+//!
+//! fn meddle(core: &mut ConnCore<u8>) {
+//!     core.state = TcpState::Estab;
+//! }
+//! ```
+//!
 //! The wrappers are deliberately thin — each holds only the
 //! [`TcpConnId`] and every operation borrows the engine explicitly —
 //! so the untyped [`Tcp`] API remains available underneath for callers
 //! (and tests) that need to poke at the raw lifecycle.
 
+use crate::control::TcpState;
 use crate::engine::{Tcp, TcpConnId, TcpEvent, TcpPattern};
-use crate::tcb::TcpState;
 use foxproto::aux::IpAux;
 use foxproto::{Handler, ProtoError, Protocol};
 

@@ -54,7 +54,7 @@ impl IcmpEcho {
         if code != 0 {
             return Err(WireError::Unsupported { field: "icmp code", value: u32::from(code) });
         }
-        if checksum::ones_complement_sum(buf) != 0xffff {
+        if checksum::word_check(buf) != 0xffff {
             return Err(WireError::BadChecksum("icmp"));
         }
         r.skip(2)?; // checksum field, verified above over the whole message

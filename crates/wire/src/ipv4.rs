@@ -262,7 +262,7 @@ impl Ipv4Packet {
             return Err(WireError::Malformed("ipv4 total length below IHL"));
         }
         need("ipv4 payload", buf, total_len)?;
-        if checksum::ones_complement_sum(prefix("ipv4 header", buf, ihl)?) != 0xffff {
+        if checksum::word_check(prefix("ipv4 header", buf, ihl)?) != 0xffff {
             return Err(WireError::BadChecksum("ipv4 header"));
         }
         let ident = r.u16_be()?;

@@ -44,7 +44,7 @@ mod tests {
         // Pseudo-header: 10.0.0.1 | 10.0.0.2 | 0x00 0x06 | len 20
         let src = Ipv4Addr::new(10, 0, 0, 1);
         let dst = Ipv4Addr::new(10, 0, 0, 2);
-        let manual = foxbasis::checksum::ones_complement_sum(&[10, 0, 0, 1, 10, 0, 0, 2, 0, 6, 0, 20]);
+        let manual = foxbasis::checksum::word_check(&[10, 0, 0, 1, 10, 0, 0, 2, 0, 6, 0, 20]);
         assert_eq!(v4_sum(src, dst, IpProtocol::Tcp, 20), manual);
     }
 
@@ -58,6 +58,6 @@ mod tests {
         let mut manual = vec![1u8, 2, 3, 4, 5, 6, 7, 8, 0, 17];
         manual.extend_from_slice(&(body.len() as u16).to_be_bytes());
         manual.extend_from_slice(body);
-        assert_eq!(acc.sum(), foxbasis::checksum::ones_complement_sum(&manual));
+        assert_eq!(acc.sum(), foxbasis::checksum::word_check(&manual));
     }
 }

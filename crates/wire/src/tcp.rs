@@ -753,4 +753,32 @@ mod tests {
             }
         }
     }
+
+    /// The event layer records flags in wire order, so the codec's
+    /// encoding is the one rendering both stacks stamp events with.
+    #[test]
+    fn flag_byte_matches_the_event_layer_bits() {
+        use foxbasis::obs::flags;
+        let one = |f: fn(&mut TcpFlags)| {
+            let mut t = TcpFlags::default();
+            f(&mut t);
+            t.to_u8()
+        };
+        assert_eq!(one(|t| t.fin = true), flags::FIN);
+        assert_eq!(one(|t| t.syn = true), flags::SYN);
+        assert_eq!(one(|t| t.rst = true), flags::RST);
+        assert_eq!(one(|t| t.psh = true), flags::PSH);
+        assert_eq!(one(|t| t.ack = true), flags::ACK);
+        assert_eq!(one(|t| t.urg = true), flags::URG);
+    }
+
+    #[test]
+    fn wscale_for_covers_buffer() {
+        assert_eq!(wscale_for(4096), 0);
+        assert_eq!(wscale_for(65535), 0);
+        assert_eq!(wscale_for(65536), 1);
+        // (1 << 20) >> 4 = 65536 still exceeds the 16-bit field.
+        assert_eq!(wscale_for(1 << 20), 5);
+        assert_eq!(wscale_for(usize::MAX), 14, "clamped to RFC 7323's max");
+    }
 }

@@ -660,7 +660,7 @@ where
                 seq: seg.header.seq.0,
                 ack: seg.header.ack.0,
                 len: seg.payload.len() as u32,
-                flags: obs_flags(&seg.header.flags),
+                flags: seg.header.flags.to_u8(),
                 wnd: u32::from(seg.header.window),
             });
         }
@@ -1110,7 +1110,7 @@ where
                                 seq: h.seq.0,
                                 ack: h.ack.0,
                                 len: 0,
-                                flags: obs_flags(&h.flags),
+                                flags: h.flags.to_u8(),
                                 wnd: u32::from(h.window),
                             });
                             // The child is spawned by the listener's
@@ -1157,7 +1157,7 @@ where
                 seq: h.seq.0,
                 ack: h.ack.0,
                 len: seg.payload.len() as u32,
-                flags: obs_flags(&h.flags),
+                flags: h.flags.to_u8(),
                 wnd: u32::from(h.window),
             });
         }
@@ -1482,31 +1482,6 @@ fn seg_cause(f: &TcpFlags) -> &'static str {
     } else {
         "seg"
     }
-}
-
-/// Renders wire flags as the event layer's bitmask.
-fn obs_flags(f: &TcpFlags) -> u8 {
-    use foxbasis::obs::flags;
-    let mut bits = 0;
-    if f.fin {
-        bits |= flags::FIN;
-    }
-    if f.syn {
-        bits |= flags::SYN;
-    }
-    if f.rst {
-        bits |= flags::RST;
-    }
-    if f.psh {
-        bits |= flags::PSH;
-    }
-    if f.ack {
-        bits |= flags::ACK;
-    }
-    if f.urg {
-        bits |= flags::URG;
-    }
-    bits
 }
 
 fn reset_for(local_port: u16, seg: &TcpSegment) -> TcpSegment {
